@@ -63,11 +63,14 @@ constexpr double kMinPhaseSeconds = 1.0;
 constexpr double kSliceSeconds = 0.1;
 // p99 needs at least ten samples beyond it.
 constexpr size_t kMinSingleSamples = 1000;
-// Burst phase: waves of kWaveSize requests through InferThetaAsync, of
-// which kWaveRepeats repeat documents of the previous wave (LRU hits).
-constexpr int kWaveSize = 64;
-constexpr int kWaveRepeats = 16;
-constexpr int kBurstCacheCapacity = 256;
+// Burst phase: waves of two default-sized batches through
+// InferThetaAsync, on an engine with the default options (so the default
+// LRU cache). These are synthetic choices, not measured traffic.
+const int kWaveSize = 2 * InferenceEngine::Options().max_batch_size;
+// Every document is sent twice, as in bench_serve's replay, so half the
+// requests hit the cache. The second send comes this many fresh documents
+// after the first: half the default cache, so it is still cached.
+const int kRepeatLag = InferenceEngine::Options().cache_capacity / 2;
 // Documented cross-precision theta bounds (DESIGN.md §15).
 constexpr double kBf16Bound = 0.05;
 constexpr double kInt8Bound = 0.15;
@@ -80,34 +83,35 @@ constexpr float kLambda = 40.0f;
 constexpr double kMiB = 1024.0 * 1024.0;
 
 // Restricts the calling thread, and every thread it creates from now on,
-// to `n` CPUs: the highest-numbered ones the process may use. With one
-// CPU, the hand-offs between the client thread and the pool worker stay on
-// one core instead of waking an idle vCPU, whose wake-up latency on a
-// shared host varies from run to run.
-void PinToCpus(int n) {
-  static const cpu_set_t allowed = [] {
+// to `n` of the CPUs the process may use, starting at the `first`-th of
+// them (cyclically), and recreates the global pool with `n` workers there.
+// With one CPU, the hand-offs between the client thread and the pool
+// worker stay on one core instead of waking an idle vCPU, whose wake-up
+// latency on a shared host varies from run to run. The timed rounds move
+// to the next CPU every round: on a shared host, how fast the same model
+// call runs changes from one vCPU to another and over time (README.md), so
+// a run samples every vCPU rather than one.
+void UseCpus(int n, int first) {
+  static const std::vector<int> allowed = [] {
+    std::vector<int> cpus;
     cpu_set_t set;
     CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
-    return set;
-  }();
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  int picked = 0;
-  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && picked < n; --cpu) {
-    if (CPU_ISSET(cpu, &allowed)) {
-      CPU_SET(cpu, &set);
-      ++picked;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+      }
     }
+    return cpus;
+  }();
+  if (!allowed.empty()) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (int i = 0; i < n; ++i) {
+      CPU_SET(allowed[(first + i) % allowed.size()], &set);
+    }
+    sched_setaffinity(0, sizeof(set), &set);
   }
-  if (picked > 0) sched_setaffinity(0, sizeof(set), &set);
-}
-
-// Resizes the global pool (new workers inherit the caller's CPU set).
-void SetThreads(int n) {
-  if (util::ThreadPool::Global().num_threads() != n) {
-    util::ThreadPool::SetGlobalNumThreads(n);
-  }
+  util::ThreadPool::SetGlobalNumThreads(n);
 }
 
 double PeakRssMiB() {
@@ -219,7 +223,7 @@ struct Served {
   std::vector<double> load_seconds;
   std::vector<std::unique_ptr<InferenceEngine>> engines;  // per precision
   std::unique_ptr<InferenceEngine> single;  // fp32, cache off
-  std::unique_ptr<InferenceEngine> burst;   // fp32, small LRU cache
+  std::unique_ptr<InferenceEngine> burst;   // fp32, default options
   std::vector<std::unique_ptr<topicmodel::NeuralTopicModel>> models;
   Tensor reference_theta;  // fp32 offline InferTheta of the test split
   std::vector<InferenceEngine::BowDoc> docs;
@@ -272,9 +276,7 @@ std::unique_ptr<Served> ServeModel(core::ContraTopicModel& model,
   InferenceEngine::Options single_options;
   single_options.cache_capacity = 0;
   served->single = load(0, single_options);
-  InferenceEngine::Options burst_options;
-  burst_options.cache_capacity = kBurstCacheCapacity;
-  served->burst = load(0, burst_options);
+  served->burst = load(0, InferenceEngine::Options());
 
   for (const std::string& path : served->paths) {
     auto checkpoint = serve::ReadCheckpoint(path);
@@ -294,16 +296,26 @@ std::unique_ptr<Served> ServeModel(core::ContraTopicModel& model,
   served->reference_theta = served->models[0]->InferTheta(test);
   report->Check(BitwiseEqual(served->reference_theta, model.InferTheta(test)),
                 "fp32 checkpoint round trip changed theta");
-  // Ranked top words are invariant across storage precisions.
-  for (int i = 1; i < 3; ++i) {
-    bool same = true;
-    for (int k = 0; k < served->engines[0]->num_topics(); ++k) {
-      auto a = served->engines[0]->TopicTopWords(k, 10);
-      auto b = served->engines[i]->TopicTopWords(k, 10);
-      same = same && a.ok() && b.ok() && *a == *b;
+  // Checkpoint round trip of the top-word lists: every engine, whatever
+  // its precision, answers TopicTopWords with the trained model's top-10.
+  // The lists are stored from the fp32 beta before quantization, so this
+  // does not test the quantized weights: after the short training, the
+  // top-10 of the beta restored from a bf16 or int8 checkpoint differs
+  // from the fp32 one in many topics.
+  const Tensor beta = model.Beta();
+  const std::vector<std::string>& vocab = in.data.train.vocab().words();
+  for (int i = 0; i < 3; ++i) {
+    int differing = 0;
+    for (int64_t k = 0; k < beta.rows(); ++k) {
+      std::vector<std::string> expected;
+      for (int w : beta.TopKIndicesOfRow(k, 10)) expected.push_back(vocab[w]);
+      auto words = served->engines[i]->TopicTopWords(static_cast<int>(k), 10);
+      if (!words.ok() || *words != expected) ++differing;
     }
-    report->Check(same, std::string("top words differ at ") +
-                            tensor::ServePrecisionName(kPrecisions[i]));
+    report->Check(differing == 0,
+                  std::to_string(differing) + " topics' top words differ in " +
+                      "the " + tensor::ServePrecisionName(kPrecisions[i]) +
+                      " checkpoint");
   }
   return served;
 }
@@ -343,22 +355,25 @@ double SingleRequest(Served& served, int64_t doc, int64_t request_id,
   return latency;
 }
 
-// Burst traffic: waves of requests in flight at once. `cursor` walks the
-// test split for fresh documents; repeats come from the previous wave, so
-// they are cached (capacity 256 > one wave) while fresh documents, last
-// seen a whole pass over the test split ago, are not.
+// Burst traffic: waves of kWaveSize requests in flight at once, which the
+// batcher groups into batches as they arrive. Request j of the stream is a
+// fresh document when j is even; the fresh documents walk the test split
+// in order. When j is odd it repeats the fresh document sent kRepeatLag
+// fresh documents earlier, which is still in the LRU cache. A fresh
+// document was last sent a whole pass over the test split earlier, so it
+// misses once the split holds more documents than the cache.
 class BurstClient {
  public:
   explicit BurstClient(Served& served) : served_(served) {}
 
-  // Sends one wave and waits for every answer; returns docs/s.
+  // Sends one wave and waits for every answer; returns its seconds.
   double Wave(Report* report) {
     std::vector<int64_t> wave(kWaveSize);
     const int64_t n = static_cast<int64_t>(served_.docs.size());
-    for (int i = 0; i < kWaveSize; ++i) {
-      const bool repeat =
-          !previous_.empty() && i % (kWaveSize / kWaveRepeats) == 0;
-      wave[i] = repeat ? previous_[i] : cursor_++ % n;
+    for (int i = 0; i < kWaveSize; ++i, ++next_) {
+      const int64_t fresh = next_ / 2;
+      const bool repeat = next_ % 2 == 1 && fresh >= kRepeatLag;
+      wave[i] = (repeat ? fresh - kRepeatLag : fresh) % n;
     }
     struct Pending {
       std::mutex mu;
@@ -367,10 +382,7 @@ class BurstClient {
       std::vector<std::optional<InferenceEngine::ThetaResult>> results;
     } pending;
     pending.results.resize(kWaveSize);
-    // The whole wave is queued before the dispatcher starts, so batch
-    // sizes do not depend on when the pool worker wakes up.
     const double start = NowSeconds();
-    served_.burst->batcher().Pause();
     for (int i = 0; i < kWaveSize; ++i) {
       served_.burst->InferThetaAsync(
           served_.docs[wave[i]], [&pending, i](InferenceEngine::ThetaResult r) {
@@ -379,7 +391,6 @@ class BurstClient {
             if (--pending.outstanding == 0) pending.cv.notify_all();
           });
     }
-    served_.burst->batcher().Resume();
     {
       std::unique_lock<std::mutex> lock(pending.mu);
       pending.cv.wait(lock, [&pending] { return pending.outstanding == 0; });
@@ -394,14 +405,12 @@ class BurstClient {
     }
     report->Attempt(kWaveSize);
     report->Fail(failed, "burst requests failed or differ from offline theta");
-    previous_ = wave;
-    return kWaveSize / seconds;
+    return seconds;
   }
 
  private:
   Served& served_;
-  std::vector<int64_t> previous_;
-  int64_t cursor_ = 0;
+  int64_t next_ = 0;  // position in the request stream
 };
 
 // ---------------------------------------------------------------------------
@@ -413,12 +422,11 @@ struct Trial {
   double seconds = 0.0;
 };
 
-// One Train() trial on a fresh model at `threads` pool threads; the pool
-// is back at kPoolThreads when it returns.
+// One Train() trial on a fresh model at `threads` pool threads, on CPUs
+// from `first_cpu` on; the pool is back at kPoolThreads when it returns.
 Trial TrainTrial(const WorkloadSpec& spec, const Inputs& in, int threads,
-                 Report* report, int model_seed = 0) {
-  PinToCpus(threads);
-  SetThreads(threads);
+                 int first_cpu, Report* report, int model_seed = 0) {
+  UseCpus(threads, first_cpu);
   Trial trial;
   trial.model = MakeModel(spec, in, model_seed);
   const double start = NowSeconds();
@@ -428,8 +436,7 @@ Trial TrainTrial(const WorkloadSpec& spec, const Inputs& in, int threads,
                 "Train() stopped early");
   trial.result = {trial.model->Beta(), trial.model->InferTheta(in.data.test),
                   stats.final_loss};
-  PinToCpus(kPoolThreads);
-  SetThreads(kPoolThreads);
+  UseCpus(kPoolThreads, first_cpu);
   return trial;
 }
 
@@ -445,8 +452,7 @@ std::pair<double, double> TopicQuality(const Tensor& beta,
 
 void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
                  Report* report) {
-  PinToCpus(kPoolThreads);
-  SetThreads(kPoolThreads);
+  UseCpus(kPoolThreads, 0);
   // Setup, repeated; the last instance's inputs are kept.
   std::vector<double> setup_seconds;
   std::unique_ptr<Inputs> in;
@@ -466,30 +472,36 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
 
   // Untimed warm-up pair. The 1-thread model is the bitwise reference for
   // every later trial, and the model that is checkpointed and served.
-  const Trial reference = TrainTrial(spec, *in, 1, report);
+  const Trial reference = TrainTrial(spec, *in, 1, 0, report);
   report->Check(
-      SameResult(TrainTrial(spec, *in, kParallelThreads, report).result,
+      SameResult(TrainTrial(spec, *in, kParallelThreads, 0, report).result,
                  reference.result),
       "Train() at 2 threads is not bitwise identical to 1 thread");
   std::unique_ptr<Served> served =
       ServeModel(*reference.model, *in, options, spec.name, nullptr, report);
   if (served == nullptr) return;
 
-  // Timed rounds. Each runs one 1-thread Train() trial, then one slice each
-  // of the offline fp32/bf16/int8 passes, the single client and the burst
-  // client, so every metric samples the whole run rather than one stretch
-  // of it. The trials rotate through kModelSeeds initializations: how much
-  // work a ContraTopic step does depends on its candidate-word set, so one
-  // initialization alone makes the run's figure depend on the seed.
+  // Timed rounds. Each round moves to the next CPU and runs one 1-thread
+  // Train() trial, then one slice each of the offline fp32/bf16/int8
+  // passes, the single client and the burst client, so every metric
+  // samples the whole run rather than one stretch of it. Each throughput
+  // is its phase's total work over the phase's total time: rounds that
+  // ran slower count by their share of the time, instead of deciding a
+  // median when the host's speed is bimodal. The trials rotate through
+  // kModelSeeds initializations: how much work a ContraTopic step does
+  // depends on its candidate-word set, so one initialization alone makes
+  // the run's figure depend on the seed.
   const double docs_per_trial =
       static_cast<double>(in->train.num_docs()) * spec.train.epochs;
   std::vector<double> docs_per_s;
+  double train_seconds = 0.0;
   TrainResult seed_results[kModelSeeds];
   seed_results[0] = reference.result;
-  std::vector<double> offline_docs_per_s[3];
+  double offline_docs[3] = {0, 0, 0};
   double phase_seconds[5] = {0, 0, 0, 0, 0};
   std::vector<double> latencies;
-  std::vector<double> wave_docs_per_s;
+  int64_t waves = 0;
+  double wave_seconds = 0.0;
   BurstClient burst(*served);
   int64_t single_cursor = 0;
   const double rounds_start = NowSeconds();
@@ -502,8 +514,9 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
       break;
     }
     const int model_seed = round % kModelSeeds;
-    const Trial trial = TrainTrial(spec, *in, 1, report, model_seed);
+    const Trial trial = TrainTrial(spec, *in, 1, round, report, model_seed);
     docs_per_s.push_back(docs_per_trial / trial.seconds);
+    train_seconds += trial.seconds;
     if (round > 0 && round < kModelSeeds) {
       report->Attempt();  // the first trial of this initialization
       seed_results[model_seed] = trial.result;
@@ -522,10 +535,8 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
         OfflinePass(*served, i, test, report);
         ++passes;
       } while (NowSeconds() - start < slice);
-      const double seconds = NowSeconds() - start;
-      phase_seconds[i] += seconds;
-      offline_docs_per_s[i].push_back(
-          static_cast<double>(passes) * test.num_docs() / seconds);
+      phase_seconds[i] += NowSeconds() - start;
+      offline_docs[i] += static_cast<double>(passes) * test.num_docs();
     }
     double start = NowSeconds();
     do {
@@ -535,7 +546,8 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
     phase_seconds[3] += NowSeconds() - start;
     start = NowSeconds();
     do {
-      wave_docs_per_s.push_back(burst.Wave(report));
+      wave_seconds += burst.Wave(report);
+      ++waves;
     } while (NowSeconds() - start < slice);
     phase_seconds[4] += NowSeconds() - start;
   }
@@ -543,10 +555,16 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
   const InferenceEngine::Stats burst_stats = served->burst->stats();
   report->Fail(single_stats.shed + burst_stats.shed, "shed requests");
   std::fprintf(stderr,
+               "perfbench: burst client: %lld requests, %lld cache hits, "
+               "%lld batches\n",
+               static_cast<long long>(burst_stats.requests),
+               static_cast<long long>(burst_stats.cache_hits),
+               static_cast<long long>(burst_stats.batches));
+  std::fprintf(stderr,
                "perfbench: %zu timed Train() trials, %zu single-client "
-               "requests, %zu burst waves, %.2f s per serving phase\n",
+               "requests, %lld burst waves, %.2f s per serving phase\n",
                docs_per_s.size(), latencies.size(),
-               wave_docs_per_s.size(),
+               static_cast<long long>(waves),
                *std::min_element(std::begin(phase_seconds),
                                  std::end(phase_seconds)));
 
@@ -555,20 +573,21 @@ void RunUntraced(const WorkloadSpec& spec, const RunOptions& options,
   std::fprintf(stderr, "\n");
 
   report->Add("setup_s", Median(setup_seconds), "s");
-  report->Add("train_docs_per_s_1t", Median(docs_per_s), "docs/s");
+  report->Add("train_docs_per_s_1t",
+              docs_per_trial * docs_per_s.size() / train_seconds, "docs/s");
   double diversity = 0.0;
   for (const TrainResult& result : seed_results) {
     diversity += TopicQuality(result.beta, *in->test_npmi).second / kModelSeeds;
   }
   report->Add("topic_diversity", diversity, "fraction");
-  report->Add("infer_fp32_docs_per_s", Median(offline_docs_per_s[0]),
-              "docs/s");
-  report->Add("infer_bf16_docs_per_s", Median(offline_docs_per_s[1]),
-              "docs/s");
-  report->Add("infer_int8_docs_per_s", Median(offline_docs_per_s[2]),
-              "docs/s");
+  for (int i = 0; i < 3; ++i) {
+    const std::string p = tensor::ServePrecisionName(kPrecisions[i]);
+    report->Add("infer_" + p + "_docs_per_s",
+                offline_docs[i] / phase_seconds[i], "docs/s");
+  }
   report->Add("serve_p50_ms", Median(latencies) * 1e3, "ms");
-  report->Add("serve_docs_per_s", Median(wave_docs_per_s), "docs/s");
+  report->Add("serve_docs_per_s",
+              static_cast<double>(waves) * kWaveSize / wave_seconds, "docs/s");
   report->Add("peak_rss_mb", PeakRssMiB(), "MiB");
 }
 
@@ -660,8 +679,7 @@ Tensor RandomTensor(int64_t rows, int64_t cols, util::Rng& rng) {
 
 void RunTraced(const WorkloadSpec& spec, const RunOptions& options,
                Report* report) {
-  PinToCpus(kPoolThreads);
-  SetThreads(kPoolThreads);
+  UseCpus(kPoolThreads, 0);
   SpanRecorder trace;
   std::unique_ptr<Inputs> in = BuildInputs(spec, &trace);
   const text::BowCorpus& train = in->train;
@@ -676,9 +694,9 @@ void RunTraced(const WorkloadSpec& spec, const RunOptions& options,
   std::unique_ptr<core::ContraTopicModel> traced_model;
   TracedTrainStats traced;
   for (int r = 0; r < 2; ++r) {
-    Trial trial = TrainTrial(spec, *in, 1, report);
+    Trial trial = TrainTrial(spec, *in, 1, 0, report);
     untraced_seconds.push_back(trial.seconds);
-    const Trial parallel = TrainTrial(spec, *in, kParallelThreads, report);
+    const Trial parallel = TrainTrial(spec, *in, kParallelThreads, 0, report);
     parallel_docs_per_s.push_back(train.num_docs() * spec.train.epochs /
                                   parallel.seconds);
     report->Check(SameResult(parallel.result, trial.result),
